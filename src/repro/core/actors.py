@@ -95,17 +95,6 @@ class GameInventor(abc.ABC):
         keeps it.
         """
 
-    def set_screening_workers(self, workers: int) -> bool:
-        """Ask this inventor to run future screens on ``workers`` shards.
-
-        No-op (returns ``False``) by default: only inventors that fan
-        screening across a worker pool have a knob to turn.  The
-        service's adaptive controller calls this between drains; by the
-        executor determinism contract the shard count changes cost,
-        never answers.
-        """
-        return False
-
     def drain_pool_events(self) -> "list[dict]":
         """Pop this inventor's screening-pool supervision events.
 
@@ -232,7 +221,6 @@ class BimatrixInventor(GameInventor):
         self._solve_cache = solve_cache
         self._cache_status: dict[str, str] = {}
         self._solve_ms: dict[str, float] = {}
-        self._workers_override: int | None = None
 
     @property
     def backend_mode(self) -> str:
@@ -268,40 +256,9 @@ class BimatrixInventor(GameInventor):
 
     @property
     def screening_workers(self) -> int:
-        """The shard count future screens will fan across.
-
-        The policy's resolved worker count, unless the service's
-        adaptive controller overrode it via
-        :meth:`set_screening_workers`.
-        """
-        if self._workers_override is not None:
-            return self._workers_override
+        """The shard count future screens fan across: the policy's
+        resolved worker count."""
         return self._policy.resolved_workers()
-
-    def set_screening_workers(self, workers: int) -> bool:
-        """Adopt a controller-chosen shard count for future screens.
-
-        Cheap between solves: an existing sharded pool is resized in
-        place (shut down now, restarted lazily at the new width),
-        otherwise the executor is released so the next screen creates
-        one at the new count.  Answers never change — the executors'
-        determinism contract fixes chunk boundaries independently of
-        worker count — so this is purely a cost knob.
-        """
-        if workers < 1:
-            raise ProtocolError("screening workers must be positive")
-        if workers == self.screening_workers:
-            return False
-        self._workers_override = workers
-        if self._executor is not None:
-            from repro.equilibria.executors import ShardedExecutor
-
-            if isinstance(self._executor, ShardedExecutor) and workers > 1:
-                self._executor.resize(workers)
-            else:
-                self._executor.close()
-                self._executor = None
-        return True
 
     def _screening_executor(self):
         """The shared (lazily created) screening pool."""

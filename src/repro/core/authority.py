@@ -179,10 +179,11 @@ class RationalityAuthority:
         with a fresh cross-run
         :class:`~repro.service.cache.SolveCache` attached to every
         cacheable inventor).  Hosts that want different service
-        parameters — a shared cache, off-path verifier threads —
-        construct their own ``AuthorityService(authority, ...)``
-        instead; the synchronous :meth:`consult` / :meth:`consult_many`
-        shims always use this default instance.
+        parameters — a shared cache, a persistent cache file,
+        backpressure, deadlines — construct their own
+        ``AuthorityService(authority, ...)`` instead; the synchronous
+        :meth:`consult` / :meth:`consult_many` shims always use this
+        default instance.
         """
         with self._service_lock:
             if self._service is None:
@@ -213,7 +214,7 @@ class RationalityAuthority:
             behavior-identical for existing hosts.  New code should use
             :attr:`service` directly (``submit`` / ``submit_many`` for
             futures, ``async_consult`` under asyncio) to get admission
-            queueing, off-path verification and cache telemetry.
+            queueing, backpressure, deadlines and cache telemetry.
         """
         return self.service.submit(agent_name, game_id, privacy=privacy).result()
 

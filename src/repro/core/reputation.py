@@ -37,8 +37,8 @@ class ReputationStore:
     """Scores per verifier, updated from majority outcomes.
 
     Vote recording is serialized by a lock so concurrent verification
-    sessions (the consultation service's off-path verifiers) cannot
-    lose updates.
+    sessions (concurrent drains, or hosts verifying on their own
+    threads) cannot lose updates.
     """
 
     def __init__(self):

@@ -202,27 +202,6 @@ class ShardedExecutor:
         events, self.events = self.events, []
         return events
 
-    def resize(self, workers: int) -> bool:
-        """Change the shard count; returns True when it actually changed.
-
-        The determinism contract makes this safe at any quiescent point:
-        chunk boundaries are the caller's, so a pool of any size returns
-        identical results — resizing trades cost, never answers.  The
-        current pool (if any) is shut down and a new one is started
-        lazily on the next :meth:`map_chunks`; a resize also clears the
-        fallback latch, giving a previously broken pool one fresh
-        attempt at the new size.
-        """
-        if workers < 1:
-            raise ValueError("ShardedExecutor needs at least one worker")
-        if workers == self.workers and not self.fell_back:
-            return False
-        self.close()
-        self.workers = workers
-        self.fell_back = False
-        self._rebuild_attempted = False
-        return True
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)

@@ -9,19 +9,11 @@ for the online parallel-links game.  The synchronous
 ``RationalityAuthority.consult`` / ``consult_many`` calls are thin
 shims over this package.
 
-Two operational companions close the loop on load:
-:mod:`repro.service.load` (the open-loop harness measuring
-latency-under-load and saturation) and :mod:`repro.service.autotune`
-(the deterministic hysteresis controller that sizes the verify pool
-and screening shards from the service's own drain telemetry).
+An operational companion measures it under load:
+:mod:`repro.service.load`, the open-loop harness for
+latency-under-load and saturation.
 """
 
-from repro.service.autotune import (
-    AdaptiveController,
-    AutotuneConfig,
-    DrainSample,
-    Resize,
-)
 from repro.service.cache import CacheStats, SolveCache, game_fingerprint
 from repro.service.faults import (
     FaultPlan,
@@ -76,10 +68,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "read_cache_file",
     "write_cache_file",
-    "AdaptiveController",
-    "AutotuneConfig",
-    "DrainSample",
-    "Resize",
     "ArrivalSchedule",
     "LoadReport",
     "SaturationResult",

@@ -16,8 +16,8 @@ the production code already crosses:
 ======================  ================================================
 ``solve``               the drain's solve stage (cache lookup + search),
                         :meth:`AuthorityService._stage_solve`
-``verify.conclude``     the verify/conclude stage (inline or on a
-                        verify-pool puller)
+``verify.conclude``     the verify/conclude stage, inline on the
+                        draining thread
 ``pool.chunk``          a screening executor handing chunks to its pool
 ``journal.append``      the write-behind journal's durable append
 ``snapshot.write``      the atomic whole-cache snapshot write
@@ -89,8 +89,8 @@ def _broken_pool() -> type:
 #: default) is the typed chaos error; the rest let a plan speak each
 #: subsystem's native failure dialect — ``broken-pool`` exercises the
 #: executor rebuild latch, ``oserror`` the journal's disk-failure
-#: retry/degrade path, ``system-exit`` a worker-killing crash that
-#: escapes ``except Exception`` routing (puller respawn).
+#: retry/degrade path, ``system-exit`` a crash that escapes
+#: ``except Exception`` routing (the drain's abort path).
 _ERROR_FACTORIES = {
     "fault": lambda: FaultInjected,
     "runtime": lambda: RuntimeError,
@@ -158,10 +158,10 @@ class FaultPlan:
     """A seeded, deterministic script of injected failures.
 
     Thread-safe: call counters are kept under a lock (injection points
-    are hit from the drain thread, verify pullers, the deadline
-    watchdog and the server's executor threads at once), and hangs
-    sleep on an event that :func:`disarm` sets — a plan never strands a
-    sleeper past its own lifetime.
+    are hit from the drain thread, the deadline watchdog and the
+    server's executor threads at once), and hangs sleep on an event
+    that :func:`disarm` sets — a plan never strands a sleeper past its
+    own lifetime.
     """
 
     def __init__(self, specs, seed: int = 0):

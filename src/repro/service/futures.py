@@ -90,10 +90,10 @@ class ConsultationFuture:
         """Call ``fn(self)`` once resolved (immediately if already done).
 
         The callback runs on whatever thread resolves the future — the
-        draining thread, an off-path verifier worker, or (when already
-        resolved) the caller itself.  A raising callback is recorded as
-        a ``service.callback.failed`` audit warning (or logged, for a
-        service-less future): the stdlib future underneath would catch
+        draining thread, or (when already resolved) the caller itself.
+        A raising callback is recorded as a ``service.callback.failed``
+        audit warning (or logged, for a service-less future): the
+        stdlib future underneath would catch
         and log the exception anyway, but invisibly — the authority's
         accountability story wants misbehaving consumers in the audit
         trail, not buried in the logging module.

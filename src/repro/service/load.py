@@ -122,7 +122,7 @@ def bursty_arrivals(burst_size: int, bursts: int, gap_s: float,
     ``within_s > 0`` spreads each burst's arrivals uniformly (seeded)
     across that window instead of landing them on one instant — the
     queue still spikes, but admission timestamps differ, which is what
-    exercises backpressure and the controller's depth signal.
+    exercises backpressure.
     """
     if burst_size < 1 or bursts < 1:
         raise GameError("need at least one arrival per burst and one burst")

@@ -11,22 +11,13 @@ inventors advise, verifiers certify — not a batch script.
   ``equilibria/executors`` seam) and the cross-run
   :class:`~repro.service.cache.SolveCache` the service attaches at
   registration — so repeat and near-repeat games skip whole screens;
-* the drain is an explicit **pipeline**: the draining thread runs the
-  *solve* stage (cache lookup, screening, advice) and hands each
-  session to the *verify/conclude* stage — a queue the off-path pool's
-  workers pull from (``verify_workers > 1``) — so batch *k + 1* solves
-  while batch *k* certifies.  With ``verify_workers <= 1``, under
-  ``REPRO_FORCE_SERIAL``, or on an interpreter without threads, the
-  stage collapses to the inline serial path, and by construction both
-  paths produce bit-identical outcomes (certification itself stays
-  exact, Fractions/int-lattice only, and in this process — threads are
-  not workers in the soundness story);
+* the draining thread runs each consultation end to end: cache lookup,
+  screening and advice, then verification and conclusion, inline.
+  Checking advice costs a small fraction of finding it, so there is
+  nothing worth overlapping; certification stays exact
+  (Fractions/int-lattice only) and in this process;
 * admission applies **backpressure** past a configured high-water mark
-  (:class:`~repro.errors.AdmissionError`, or blocking, per policy) and
-  an :class:`~repro.service.autotune.AdaptiveController` can retune
-  ``verify_workers`` and per-inventor screening shards between drains
-  from the service's own telemetry — every resize lands in the audit
-  log as ``service.autotune.resized``;
+  (:class:`~repro.errors.AdmissionError`, or blocking, per policy);
 * ``asyncio`` callers get the same core via :meth:`async_consult`,
   :meth:`async_consult_many`, :meth:`aclose` and ``async with``.
 
@@ -45,9 +36,8 @@ appends a ``service.consultation.completed`` record with the future's
 end-to-end latency, the advice's cache state and its measured
 ``verify_ms`` — so the search-vs-verify cost split is visible per
 consultation and per drain.  Shed or blocked admissions append
-``service.admission.backpressure``; controller decisions append
-``service.autotune.resized``.  Batch submissions keep emitting the
-same per-inventor ``consultation.batch`` records (and
+``service.admission.backpressure``.  Batch submissions keep emitting
+the same per-inventor ``consultation.batch`` records (and
 ``prepare_games`` pre-solve) that ``consult_many`` always did.
 """
 
@@ -62,7 +52,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.stats import latency_summary
 from repro.core.audit_events import (
-    EVENT_AUTOTUNE_RESIZED,
     EVENT_BACKPRESSURE,
     EVENT_BATCH_CONSULTATION,
     EVENT_CACHE_LOAD_REJECTED,
@@ -74,22 +63,17 @@ from repro.core.audit_events import (
     EVENT_POOL_REBUILT,
     EVENT_SERVICE_COMPLETED,
     EVENT_SERVICE_DRAINED,
-    EVENT_VERIFY_RESPAWNED,
 )
 from repro.core.session import ConsultationSession, SessionOutcome
-from repro.equilibria.executors import pools_disabled
 from repro.errors import AdmissionError, DeadlineExceeded, ProtocolError
 from repro.games.base import Game
 from repro.service import faults
-from repro.service.autotune import (
-    BACKPRESSURE_BLOCK,
-    BACKPRESSURE_RAISE,
-    AdaptiveController,
-    AutotuneConfig,
-    DrainSample,
-)
 from repro.service.cache import SolveCache
 from repro.service.futures import ConsultationFuture
+
+#: Backpressure policies for admissions past the high-water mark.
+BACKPRESSURE_RAISE = "raise"
+BACKPRESSURE_BLOCK = "block"
 
 
 @dataclass
@@ -121,125 +105,6 @@ class _Batch:
 
     submissions: list = field(default_factory=list)
     batched: bool = False
-
-
-class _VerifyStage:
-    """The verify/conclude stage of the pipelined drain.
-
-    A plain queue with ``workers`` pool threads pulling from it: the
-    draining thread :meth:`dispatch`\\ es each solved session's
-    verify/conclude job and immediately moves on to the next solve, so
-    certification of consultation *n* overlaps the search for *n + 1*.
-    Jobs route their own failures into their consultation futures, so a
-    worker never dies of a job; :meth:`join` is the per-drain barrier
-    (every future admitted before the drain resolves before it
-    returns), :meth:`stop` retires the pullers.
-
-    The stage outlives a single drain — workers idle on the queue
-    between drains — so a stream of drains pays thread startup once.
-    The pullers are daemon threads: a process that exits without
-    :meth:`stop` must not hang on threads blocked in ``queue.get``,
-    and the :meth:`join` barrier already guarantees no admitted future
-    is left unresolved by a completed drain.
-    """
-
-    def __init__(self, workers: int):
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._outstanding = 0
-        self._pullers = []
-        self._stopping = False
-        self._spawned = 0
-        self._crashes: list[dict] = []
-        try:
-            for __ in range(workers):
-                self._spawn_puller()
-        except (RuntimeError, OSError):
-            # Restricted interpreter: retire whatever did start and
-            # let the caller fall back to inline verification.
-            self.stop()
-            raise
-
-    def _spawn_puller(self) -> None:
-        self._spawned += 1
-        puller = threading.Thread(
-            target=self._pull,
-            name=f"repro-verify-{self._spawned - 1}",
-            daemon=True,
-        )
-        puller.start()
-        self._pullers.append(puller)
-
-    def dispatch(self, job) -> None:
-        """Enqueue one verify/conclude job (a no-arg callable)."""
-        with self._lock:
-            self._outstanding += 1
-        self._queue.put(job)
-
-    def _pull(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            try:
-                job()  # routes its own failures into the future
-            except BaseException as exc:
-                # A job that escapes its own error routing (the jobs
-                # catch Exception; a SystemExit/MemoryError-class crash
-                # does not) has killed this puller.  Supervise: record
-                # the crash, spawn a replacement *before* dying so a
-                # mid-drain crash can never strand queued jobs, and let
-                # the drain audit the respawn at its quiescent end.
-                self._supervise_crash(exc)
-                return
-            finally:
-                with self._idle:
-                    self._outstanding -= 1
-                    if self._outstanding == 0:
-                        self._idle.notify_all()
-
-    def _supervise_crash(self, exc: BaseException) -> None:
-        me = threading.current_thread()
-        with self._lock:
-            self._crashes.append({
-                "worker": me.name,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-            if self._stopping:
-                return
-            try:
-                self._spawn_puller()
-            except (RuntimeError, OSError):  # pragma: no cover
-                pass  # interpreter refuses threads: degrade silently
-            try:
-                self._pullers.remove(me)
-            except ValueError:  # pragma: no cover - already retired
-                pass
-
-    def drain_crashes(self) -> list[dict]:
-        """Pop recorded puller crashes (each one means a respawn)."""
-        with self._lock:
-            crashes, self._crashes = self._crashes, []
-        return crashes
-
-    def join(self) -> None:
-        """Block until every dispatched job has completed."""
-        with self._idle:
-            while self._outstanding:
-                self._idle.wait()
-
-    def stop(self) -> None:
-        """Retire the pullers (after a :meth:`join`; idempotent)."""
-        with self._lock:
-            self._stopping = True
-            pullers, self._pullers = self._pullers, []
-        for __ in pullers:
-            self._queue.put(None)
-        for puller in pullers:
-            puller.join()
-        with self._lock:
-            self._stopping = False
 
 
 class _DeadlineRunner:
@@ -378,11 +243,7 @@ class _DeadlineWorker:
 class AuthorityService:
     """Async, future-based consultation facade over one authority.
 
-    ``verify_workers`` sizes the off-path verification pool (``<= 1``
-    verifies inline on the draining thread, which keeps the audit
-    record order of the synchronous shims bit-identical to the
-    pre-service code; ``> 1`` pipelines verification against the next
-    solve).  ``solve_cache`` supplies a cross-run
+    ``solve_cache`` supplies a cross-run
     :class:`~repro.service.cache.SolveCache` (one is created when
     omitted); ``attach_cache=False`` leaves the inventors' caching
     exactly as constructed.
@@ -396,20 +257,12 @@ class AuthorityService:
     explicit ``solve_cache``, not both — a caller-owned cache manages
     its own persistence.
 
-    ``autotune`` arms the self-tuning loop: pass an
-    :class:`~repro.service.autotune.AutotuneConfig` (or a
-    pre-constructed
-    :class:`~repro.service.autotune.AdaptiveController`) and the
-    service samples its own drain telemetry, resizes the verify pool
-    and the inventors' screening shards within the configured bounds,
-    and audits every decision.  ``max_pending`` arms admission
-    backpressure at a fixed high-water mark with the ``backpressure``
-    policy (``"raise"`` refuses with
+    ``max_pending`` arms admission backpressure at a fixed high-water
+    mark with the ``backpressure`` policy (``"raise"`` refuses with
     :class:`~repro.errors.AdmissionError`; ``"block"`` waits — up to
     ``block_timeout`` seconds — until the pending count falls to half
     the mark; blocking needs some *other* thread draining, e.g. the
-    load harness's).  An autotune config's own ``high_water`` arms the
-    same mechanism; an explicit ``max_pending`` overrides it.
+    load harness's).
 
     ``default_deadline_ms`` arms per-request deadlines service-wide:
     every submission without an explicit ``deadline_ms`` inherits it.
@@ -424,15 +277,12 @@ class AuthorityService:
     """
 
     def __init__(self, authority, solve_cache: SolveCache | None = None,
-                 verify_workers: int = 1, attach_cache: bool = True,
+                 attach_cache: bool = True,
                  cache_path=None,
-                 autotune: AutotuneConfig | AdaptiveController | None = None,
                  max_pending: int | None = None,
                  backpressure: str = BACKPRESSURE_RAISE,
                  block_timeout: float | None = None,
                  default_deadline_ms: float | None = None):
-        if verify_workers < 0:
-            raise ProtocolError("verify_workers must be non-negative")
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ProtocolError("default_deadline_ms must be positive")
         if solve_cache is not None and cache_path is not None:
@@ -445,6 +295,8 @@ class AuthorityService:
             )
         if max_pending is not None and max_pending < 1:
             raise ProtocolError("max_pending must be positive")
+        if block_timeout is not None and block_timeout < 0:
+            raise ProtocolError("block_timeout must be non-negative")
         self._authority = authority
         # The service persists (and audits) only a cache it created;
         # a caller-owned cache manages its own persistence.
@@ -453,18 +305,15 @@ class AuthorityService:
             self.cache = solve_cache
         else:
             self.cache = SolveCache(path=cache_path)
-        self._verify_workers = verify_workers
         self._attach = attach_cache
         self._queue: deque[_Batch] = deque()
         self._admission_lock = threading.Lock()
         self._headroom = threading.Condition(self._admission_lock)
         self._pending_total = 0  # O(1) mirror of the queued submissions
         self._drain_lock = threading.Lock()
-        self._verify_stage: _VerifyStage | None = None
-        self._verify_pool_broken = False
         self._submission_counter = 0
         # Resolved-future counter: bumped by each future at resolution
-        # (drain thread, verify puller, or deadline worker), so it gets
+        # and read from any thread (GET /stats mid-drain), so it gets
         # its own lock rather than riding the admission or drain lock.
         self._stats_lock = threading.Lock()
         self._completed = 0
@@ -475,35 +324,12 @@ class AuthorityService:
         self._deadline_runner: _DeadlineRunner | None = None
         # Failure telemetry (surfaced via failure_counters / GET /stats).
         self._deadlines_exceeded = 0
-        self._verify_respawns = 0
         self._pool_rebuilds = 0
         self._pool_degradations = 0
-        if isinstance(autotune, AdaptiveController):
-            self.controller: AdaptiveController | None = autotune
-            self._verify_workers = autotune.verify_workers
-        elif autotune is not None:
-            self.controller = AdaptiveController(
-                autotune, verify_workers=max(1, verify_workers)
-            )
-            self._verify_workers = self.controller.verify_workers
-        else:
-            self.controller = None
-        config = self.controller.config if self.controller else None
-        if max_pending is not None:
-            self._high_water: int | None = max_pending
-            self._low_water = max_pending // 2
-            self._backpressure = backpressure
-            self._block_timeout = block_timeout
-        elif config is not None and config.high_water is not None:
-            self._high_water = config.high_water
-            self._low_water = config.resolved_low_water()
-            self._backpressure = config.backpressure
-            self._block_timeout = config.block_timeout
-        else:
-            self._high_water = None
-            self._low_water = None
-            self._backpressure = backpressure
-            self._block_timeout = block_timeout
+        self._high_water = max_pending
+        self._low_water = None if max_pending is None else max_pending // 2
+        self._backpressure = backpressure
+        self._block_timeout = block_timeout
         self._attach_cache()
         report = self.cache.last_load_report
         if cache_path is not None and report is not None and report.accepted:
@@ -668,7 +494,7 @@ class AuthorityService:
         server front-end) — a single-threaded submit-then-wait caller
         should use the ``"raise"`` policy or a ``block_timeout``.
         """
-        release = self._low_water if self._low_water is not None else 0
+        release = self._low_water
         deadline = (
             None if self._block_timeout is None
             else time.monotonic() + self._block_timeout
@@ -690,7 +516,7 @@ class AuthorityService:
         self._pending_total -= count  # repro: allow[R5] -- both drain sites call this holding _headroom (the admission lock)
         if (
             self._high_water is None
-            or self._pending_total <= (self._low_water or 0)
+            or self._pending_total <= self._low_water
         ):
             self._headroom.notify_all()
 
@@ -726,8 +552,9 @@ class AuthorityService:
         One drainer runs at a time; concurrent callers block on the
         lock and, once inside, drain whatever was admitted meanwhile
         (usually nothing — their futures were resolved by the first
-        drainer).  The verify stage is joined before the drain returns,
-        so every future admitted before the call is resolved afterwards.
+        drainer).  Every consultation is verified and concluded on the
+        draining thread, so every future this call pops is resolved
+        when it returns.
 
         ``max_batches`` bounds how many admission batches this call
         pops (``None`` drains to empty).  An unbounded drain keeps
@@ -745,7 +572,6 @@ class AuthorityService:
             snapshots = [
                 (cache, cache.snapshot()) for cache in self._active_caches()
             ]
-            stage = self._verification_stage()
             processed: list[ConsultationFuture] = []
             popped = 0
             try:
@@ -756,9 +582,7 @@ class AuthorityService:
                         batch = self._queue.popleft()
                         self._note_drained_submissions(len(batch.submissions))
                     popped += 1
-                    self._process_batch(batch, stage, processed)
-                if stage is not None:
-                    stage.join()  # per-drain barrier of the verify stage
+                    self._process_batch(batch, processed)
             except BaseException as exc:
                 # KeyboardInterrupt / SystemExit mid-solve: abort the
                 # drain immediately (the synchronous shims propagate it
@@ -770,23 +594,18 @@ class AuthorityService:
             # Completions are counted by the futures themselves as they
             # resolve (see _note_completed) — nothing to tally here.
             self._flush_cache_rejections()
-            self._flush_failure_events(stage)
+            self._flush_failure_events()
             latencies = [f.latency_ms for f in processed if f.latency_ms is not None]
-            outcomes = [
-                outcome
-                for outcome in (f.peek_outcome() for f in processed)
-                if outcome is not None
-            ]
             verify_times = [
-                o.advice.verify_ms for o in outcomes
-                if o.advice.verify_ms >= 0.0
+                outcome.advice.verify_ms
+                for outcome in (f.peek_outcome() for f in processed)
+                if outcome is not None and outcome.advice.verify_ms >= 0.0
             ]
             summary = latency_summary(latencies)
             self._authority.audit.record(
                 "-", self._authority.AUTHORITY_NAME, EVENT_SERVICE_DRAINED,
                 submissions=len(processed),
                 queue_depth=depth_at_start,
-                verify_workers=self._effective_verify_workers(),
                 latency_p50_ms=summary["p50"],
                 latency_p95_ms=summary["p95"],
                 latency_p99_ms=summary["p99"],
@@ -794,7 +613,6 @@ class AuthorityService:
                 max_verify_ms=max(verify_times, default=0.0),
                 **self._cache_deltas(snapshots),
             )
-            self._autotune_observe(depth_at_start, outcomes, verify_times)
             self._notify_drained(len(processed), depth_at_start)
             return len(processed)
 
@@ -806,8 +624,8 @@ class AuthorityService:
         """Call ``listener(summary)`` at the end of every non-empty drain.
 
         The listener runs on the draining thread at a quiescent point —
-        the verify stage is joined, every admitted future resolved, the
-        autotuner applied — with a small summary dict (``submissions``,
+        every future the drain popped is resolved and its audit records
+        written — with a small summary dict (``submissions``,
         ``queue_depth``).  This is the hook a write-behind persister
         uses to flush journal frames every N drains and cut periodic
         snapshots without racing in-flight solves: all cache writes
@@ -877,22 +695,16 @@ class AuthorityService:
                     EVENT_CACHE_LOAD_REJECTED, **details,
                 )
 
-    def _flush_failure_events(self, stage: _VerifyStage | None) -> None:
+    def _flush_failure_events(self) -> None:
         """Audit supervision events collected during this drain.
 
-        Runs at the drain's quiescent end: verify-puller crashes (each
-        one already respawned a replacement mid-drain) become
-        ``service.verify.respawned`` records, and the inventors'
+        Runs at the drain's quiescent end: the inventors'
         screening-executor events — a mid-run pool rebuilt on its one
         fresh chance, or degraded to the serial path — become
         ``service.pool.rebuilt`` / ``service.pool.degraded`` records.
         """
         audit = self._authority.audit
         name = self._authority.AUTHORITY_NAME
-        if stage is not None:
-            for crash in stage.drain_crashes():
-                self._verify_respawns += 1
-                audit.record("-", name, EVENT_VERIFY_RESPAWNED, **crash)
         for inventor in self._authority.inventors:
             drain = getattr(inventor, "drain_pool_events", None)
             if drain is None:
@@ -912,7 +724,6 @@ class AuthorityService:
         """Lifetime supervision counters (the ``/stats`` failure block)."""
         return {
             "deadlines_exceeded": self._deadlines_exceeded,
-            "verify_respawns": self._verify_respawns,
             "pool_rebuilds": self._pool_rebuilds,
             "pool_degradations": self._pool_degradations,
         }
@@ -942,22 +753,18 @@ class AuthorityService:
         return totals
 
     # ------------------------------------------------------------------
-    # The drain pipeline: prepare -> solve -> verify/conclude
+    # The drain stages: prepare -> solve -> verify/conclude
     # ------------------------------------------------------------------
 
-    def _process_batch(self, batch: _Batch, stage: _VerifyStage | None,
-                       processed: list) -> None:
-        """Run one admitted batch through the pipeline stages.
+    def _process_batch(self, batch: _Batch, processed: list) -> None:
+        """Run one admitted batch through the drain stages, in order.
 
         Stage 0 (batched admissions only): the per-inventor
-        ``prepare_games`` pre-solve.  Stage 1, on the draining thread:
-        open the session and request advice — the inventor's cache
-        lookup and (on a miss) its screening/search happen here.  Stage
-        2: verify/conclude — dispatched to the verify stage's queue
-        when one exists, run inline otherwise.  The stages never
-        reorder work within a submission, and certification is
-        identical code on both paths, so pipelined and serial drains
-        produce bit-identical outcomes.
+        ``prepare_games`` pre-solve.  Stage 1: open the session and
+        request advice — the inventor's cache lookup and (on a miss)
+        its screening/search happen here.  Stage 2: verify/conclude.
+        All three run on the draining thread (a deadlined solve on a
+        watchdog worker), one submission after another.
         """
         if batch.batched and not self._stage_prepare(batch, processed):
             return
@@ -982,12 +789,7 @@ class AuthorityService:
                 # been told 504-land — do not spend verify time on it.
                 self._deadline_fail(submission, phase="solved")
                 continue
-            if stage is None:
-                self._verify_and_conclude(session, future)
-            else:
-                stage.dispatch(
-                    lambda s=session, f=future: self._verify_and_conclude(s, f)
-                )
+            self._verify_and_conclude(session, future)
 
     @staticmethod
     def _expired(submission: _Submission) -> bool:
@@ -1116,79 +918,6 @@ class AuthorityService:
         )
 
     # ------------------------------------------------------------------
-    # The off-path verification stage
-    # ------------------------------------------------------------------
-
-    def _effective_verify_workers(self) -> int:
-        return 1 if self._verification_stage() is None else self._verify_workers
-
-    def _verification_stage(self) -> _VerifyStage | None:
-        if self._verify_workers <= 1 or pools_disabled() or self._verify_pool_broken:
-            return None
-        if self._verify_stage is None:
-            try:
-                self._verify_stage = _VerifyStage(self._verify_workers)
-            except (ImportError, NotImplementedError, OSError,
-                    PermissionError, RuntimeError):
-                # Restricted interpreter without threads: verify inline.
-                self._verify_pool_broken = True
-                return None
-        return self._verify_stage
-
-    def _shutdown_verify_stage(self) -> None:
-        """Retire the stage and its pullers (quiescent points only)."""
-        stage = self._verify_stage
-        self._verify_stage = None
-        if stage is not None:
-            stage.stop()
-
-    # ------------------------------------------------------------------
-    # The adaptive controller
-    # ------------------------------------------------------------------
-
-    def _autotune_observe(self, depth_at_start: int, outcomes,
-                          verify_times) -> None:
-        """Feed the controller one drain's telemetry; apply its resizes.
-
-        Runs at the end of the drain, while the verify stage is
-        quiescent, so a pool resize never races in-flight jobs.  Every
-        decision is recorded as ``service.autotune.resized`` *before*
-        it is applied — the audit trail is the controller's contract
-        surface, and tests replay it deterministically.
-        """
-        if self.controller is None or not outcomes:
-            return
-        solve_times = [
-            o.advice.solve_ms for o in outcomes if o.advice.solve_ms >= 0.0
-        ]
-        per_inventor: dict[str, list[float]] = {}
-        for outcome in outcomes:
-            if outcome.advice.solve_ms >= 0.0:
-                per_inventor.setdefault(
-                    outcome.advice.inventor, []
-                ).append(outcome.advice.solve_ms)
-        sample = DrainSample(
-            submissions=len(outcomes),
-            queue_depth=depth_at_start,
-            solve_ms=_mean(solve_times),
-            verify_ms=_mean(verify_times),
-            inventor_solve_ms={
-                name: _mean(times) for name, times in per_inventor.items()
-            },
-        )
-        for decision in self.controller.observe(sample):
-            self._authority.audit.record(
-                "-", self._authority.AUTHORITY_NAME, EVENT_AUTOTUNE_RESIZED,
-                **decision.as_audit_details(),
-            )
-            if decision.knob == "verify_workers":
-                self._verify_workers = decision.target
-                self._shutdown_verify_stage()  # recreated lazily, resized
-            elif decision.knob == "screening_workers":
-                inventor = self._authority.inventor_named(decision.inventor)
-                inventor.set_screening_workers(decision.target)
-
-    # ------------------------------------------------------------------
     # Cache attachment
     # ------------------------------------------------------------------
 
@@ -1206,15 +935,14 @@ class AuthorityService:
         """Drain outstanding work and release service-held resources.
 
         Idempotent, and — like the authority's own ``close`` — not
-        final: the service stays usable and recreates its verification
-        stage lazily on the next concurrent drain.  Inventor-held pools
+        final: the service stays usable and recreates its deadline
+        workers lazily on the next deadlined solve.  Inventor-held pools
         belong to the authority's lifecycle, not the service's.  A
         path-bound cache is persisted here (atomic replace), so a
         ``close``\\ d — or context-managed — service never forgets its
         warm state.
         """
         self.drain()
-        self._shutdown_verify_stage()
         runner, self._deadline_runner = self._deadline_runner, None
         if runner is not None:
             runner.close()
@@ -1278,7 +1006,3 @@ class AuthorityService:
         await self.aclose()
         return False
 
-
-def _mean(values) -> float:
-    """Mean of a telemetry sample; -1.0 (unobserved) when empty."""
-    return sum(values) / len(values) if values else -1.0

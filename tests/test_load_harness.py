@@ -1,4 +1,4 @@
-"""The load harness, admission backpressure, and pipelined-drain parity.
+"""The load harness, admission backpressure, and the drain's contracts.
 
 Three contracts from the service's load story:
 
@@ -8,9 +8,9 @@ Three contracts from the service's load story:
 * admission backpressure raises or blocks exactly as configured, with
   every shed/blocked admission in the audit trail, and the pending
   counter stays O(1)-consistent through it all;
-* the pipelined drain (``verify_workers > 1``) is bit-identical to the
-  serial drain (``REPRO_FORCE_SERIAL=1``) — threads are a throughput
-  device, never part of the answer.
+* a drain resolves every future it pops before it returns, reports
+  its latency percentiles, and leaves no thread that holds the
+  interpreter open.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.core.audit_events import EVENT_BACKPRESSURE, EVENT_SERVICE_DRAINED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.equilibria.executors import pools_disabled
-from repro.errors import AdmissionError, GameError
+from repro.errors import AdmissionError, GameError, ProtocolError
 from repro.crypto import KeyRegistry
 from repro.online.consultation import OnlineLinkInventorService
 from repro.service import (
@@ -154,7 +154,7 @@ class TestMixedStream:
 class TestRunLoad:
     def test_open_loop_completes_and_classifies(self):
         authority, stream = _published(count=16)
-        service = AuthorityService(authority, verify_workers=2)
+        service = AuthorityService(authority)
         schedule = poisson_arrivals(rate=500.0, count=len(stream), seed=1)
         report = run_load(service, "jane", stream, schedule)
         # A pool-less interpreter (REPRO_FORCE_SERIAL in the caller's
@@ -176,7 +176,7 @@ class TestRunLoad:
     def test_inline_fallback_under_forced_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
         authority, stream = _published(count=6)
-        service = AuthorityService(authority, verify_workers=4)
+        service = AuthorityService(authority)
         schedule = uniform_arrivals(rate=1000.0, count=len(stream))
         report = run_load(service, "jane", stream, schedule)
         assert report.mode == "inline"
@@ -323,6 +323,44 @@ class TestBackpressure:
         service.close()
         authority.close()
 
+    @pytest.mark.parametrize("settings, low_water", [
+        ({"max_pending": 0}, None),
+        ({"backpressure": "drop"}, None),
+        ({"block_timeout": -0.1}, None),
+        ({"max_pending": 5, "backpressure": "block"}, 2),
+    ], ids=["zero-high-water", "unknown-policy", "negative-timeout",
+            "low-water-is-half"])
+    def test_admission_settings(self, settings, low_water):
+        authority, stream = _published(count=6)
+        if low_water is None:
+            with pytest.raises(ProtocolError):
+                AuthorityService(authority, **settings)
+            authority.close()
+            return
+        service = AuthorityService(authority, **settings)
+        high_water = settings["max_pending"]
+        for entry in stream[:high_water]:
+            service.submit("jane", entry.game_id)
+        admitted = threading.Event()
+
+        def late_submitter():
+            service.submit("jane", stream[high_water].game_id)
+            admitted.set()
+
+        thread = threading.Thread(target=late_submitter, daemon=True)
+        thread.start()
+        # One batch short of the low-water mark: still blocked.
+        service.drain(max_batches=high_water - low_water - 1)
+        assert not admitted.wait(timeout=0.05)
+        # The pending count reaches max_pending // 2: released.
+        service.drain(max_batches=1)
+        assert admitted.wait(timeout=5.0)
+        thread.join(timeout=5.0)
+        service.drain()
+        assert service.completed_count == high_water + 1
+        service.close()
+        authority.close()
+
     def test_pending_counter_tracks_queue_exactly(self):
         authority, stream = _published(count=8)
         service = AuthorityService(authority)
@@ -350,37 +388,12 @@ class TestBackpressure:
         adviser.submit(1.0)  # headroom again after the drain
 
 
-class TestPipelinedParity:
-    """Pipelined and serial drains are bit-identical (the soundness pin)."""
+class TestDrainContracts:
+    """What a drain guarantees once it returns."""
 
-    @staticmethod
-    def _outcomes(verify_workers, monkeypatch=None):
-        authority, stream = _published(count=14, seed=21)
-        service = AuthorityService(authority, verify_workers=verify_workers)
-        futures = [
-            service.submit("jane", entry.game_id) for entry in stream
-        ]
-        service.drain()
-        outcomes = [future.result() for future in futures]
-        service.close()
-        authority.close()
-        return outcomes
-
-    def test_pipelined_matches_forced_serial(self, monkeypatch):
-        pipelined = self._outcomes(verify_workers=4)
-        monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
-        serial = self._outcomes(verify_workers=4)
-        assert len(pipelined) == len(serial) == 14
-        for fast, slow in zip(pipelined, serial):
-            # Bit-identical advice: same suggestion (exact Fractions),
-            # same certification verdict, same cache classification.
-            assert fast.advice.suggestion == slow.advice.suggestion
-            assert fast.advice.cache == slow.advice.cache
-            assert fast.majority.accepted and slow.majority.accepted
-
-    def test_pipelined_drain_resolves_every_future_before_returning(self):
+    def test_drain_resolves_every_future_before_returning(self):
         authority, stream = _published(count=10)
-        service = AuthorityService(authority, verify_workers=3)
+        service = AuthorityService(authority)
         futures = [
             service.submit("jane", entry.game_id) for entry in stream
         ]
@@ -391,7 +404,7 @@ class TestPipelinedParity:
 
     def test_drained_record_reports_latency_percentiles(self):
         authority, stream = _published(count=8)
-        service = AuthorityService(authority, verify_workers=2)
+        service = AuthorityService(authority)
         for entry in stream:
             service.submit("jane", entry.game_id)
         service.drain()
@@ -402,7 +415,6 @@ class TestPipelinedParity:
         assert details["latency_p95_ms"] <= details["latency_p99_ms"]
         assert details["latency_p99_ms"] <= details["max_latency_ms"]
         assert details["max_verify_ms"] > 0.0
-        assert details["verify_workers"] == (1 if pools_disabled() else 2)
         service.close()
         authority.close()
 
@@ -419,10 +431,11 @@ class TestPipelinedParity:
         authority.close()
 
     def test_unclosed_service_does_not_hang_interpreter_exit(self):
-        # The verify-stage pullers idle on a queue between drains; if
-        # they held the interpreter open, any script that forgets
-        # ``service.close()`` would hang at exit.  The pullers are
-        # daemon threads precisely so this subprocess terminates.
+        # Deadlined solves run on recycled workers that idle on a queue
+        # between drains; if they held the interpreter open, any script
+        # that forgets ``service.close()`` would hang at exit.  The
+        # workers are daemon threads precisely so this subprocess
+        # terminates.
         script = textwrap.dedent(
             """
             from repro.core.actors import AuthorityAgent, BimatrixInventor
@@ -441,7 +454,9 @@ class TestPipelinedParity:
             )
             stream = mixed_game_stream(4, size=3, seed=1)
             publish_stream(authority, "inv", stream)
-            service = AuthorityService(authority, verify_workers=3)
+            service = AuthorityService(
+                authority, default_deadline_ms=60_000
+            )
             outcomes = [
                 service.submit("jane", e.game_id).result() for e in stream
             ]

@@ -252,7 +252,7 @@ class TestConcurrentServiceDemo:
             backend=BackendPolicy(MODE_NUMPY, chunk_size=64),
         )
         authority = _authority(inventor, games)
-        service = AuthorityService(authority, verify_workers=4)
+        service = AuthorityService(authority)
         futures = [service.submit("jane", gid) for gid, __ in games]
         assert service.pending_count == 100
         outcomes = [future.result() for future in futures]
@@ -287,7 +287,7 @@ class TestAsyncAPI:
         authority = _authority(inventor, games)
 
         async def main():
-            async with AuthorityService(authority, verify_workers=2) as service:
+            async with AuthorityService(authority) as service:
                 outcomes = await asyncio.gather(
                     *(
                         service.async_consult("jane", gid)

@@ -8,6 +8,12 @@ Every bench prints a paper-vs-measured table and also writes it under
 * ``default`` — laptop-scale, shape-faithful (the committed numbers);
 * ``full``    — the paper's parameters where applicable (minutes).
 
+Only an explicit ``REPRO_BENCH_SCALE=default`` rewrites the committed
+files in ``results/``.  With the variable unset (a plain ``pytest``
+run of the whole repository) the benches still run at default sizes,
+but every table and JSON file goes to the gitignored ``results/smoke/``
+instead, so running the test suite leaves the working tree clean.
+
 Besides the human-readable ``.txt`` tables, benches can emit
 machine-readable ``BENCH_<name>.json`` files via :func:`record_metrics`
 so the performance trajectory is trackable across PRs: each file carries
@@ -60,26 +66,36 @@ def bench_scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def commit_results() -> bool:
+    """True iff this run may rewrite the committed ``results/`` files."""
+    return os.environ.get("REPRO_BENCH_SCALE") == "default"
+
+
+@pytest.fixture(scope="session")
+def results_dir(commit_results) -> pathlib.Path:
+    """Where this run's outputs go: ``results/`` or ``results/smoke/``."""
+    path = RESULTS_DIR if commit_results else SMOKE_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @pytest.fixture
-def record_table(results_dir):
-    """Print a rendered table and persist it to results/<name>.txt."""
+def record_table(results_dir, bench_scale, commit_results):
+    """Print a rendered table and persist it to results/<name>.txt
+    (``results/smoke/<name>.<scale>.txt`` unless committing)."""
 
     def _record(name: str, text: str) -> None:
         print()
         print(text)
-        path = results_dir / f"{name}.txt"
+        suffix = "" if commit_results else f".{bench_scale}"
+        path = results_dir / f"{name}{suffix}.txt"
         path.write_text(text + "\n", encoding="utf-8")
 
     return _record
 
 
 @pytest.fixture
-def record_metrics(results_dir, bench_scale):
+def record_metrics(results_dir, bench_scale, commit_results):
     """Persist machine-readable metrics to results/BENCH_<name>.json.
 
     ``metrics`` is a list of dicts, each at least ``{"metric": str,
@@ -88,11 +104,11 @@ def record_metrics(results_dir, bench_scale):
     were measured on (``"exact"``, ``"float+certify"``, "auto", or
     ``"mixed"`` for comparative benches).
 
-    The bare ``BENCH_<name>.json`` filename is reserved for the
-    committed default scale; quick/full runs write
+    The bare ``BENCH_<name>.json`` filename is reserved for an
+    explicit ``REPRO_BENCH_SCALE=default`` run; every other run writes
     ``BENCH_<name>.<scale>.json`` into ``results/smoke/`` instead, so a
-    smoke run never clobbers — and can never be committed next to —
-    the cross-PR trajectory data.
+    smoke run (or an unset scale) never clobbers — and can never be
+    committed next to — the cross-PR trajectory data.
     """
 
     def _record(name: str, metrics: list[dict], backend: str = "exact") -> None:
@@ -107,11 +123,8 @@ def record_metrics(results_dir, bench_scale):
             "backend": backend,
             "metrics": metrics,
         }
-        if bench_scale == "default":
-            path = results_dir / f"BENCH_{name}.json"
-        else:
-            SMOKE_DIR.mkdir(exist_ok=True)
-            path = SMOKE_DIR / f"BENCH_{name}.{bench_scale}.json"
+        suffix = "" if commit_results else f".{bench_scale}"
+        path = results_dir / f"BENCH_{name}{suffix}.json"
         path.write_text(
             json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8"
         )

@@ -21,23 +21,24 @@ explicit four-stage pipeline::
 **Generate** lists candidate support pairs in a fixed deterministic
 order.  **Screen** decides, approximately and cheaply, which pairs can
 possibly carry an equilibrium; it runs on a configurable
-:class:`~repro.linalg.backend.NumericBackend` (the vectorized numpy
-backend decides whole stacks of Lemma-1 systems at once; the stdlib
-float backend screens one pair at a time, warm-starting from the
-previous pair's basis when only one action changed) and can be sharded
-across worker processes by a pluggable executor — workers return plain
-picklable verdicts, nothing else.  **Reconstruct** re-solves surviving
-candidates exactly (support-restricted, on the fraction-free integer
-Bareiss kernel — bit-identical to Fraction elimination), always in the
-calling process.  **Certify** passes each wave's reconstructions
+:class:`~repro.linalg.backend.NumericBackend` (with the vectorized numpy
+backend, each side's Lemma-1 systems for a whole chunk of pairs are
+gathered straight from the float64 payoff matrix into one zero-padded
+ndarray stack and pivoted at once; the stdlib float backend screens one
+pair at a time, warm-starting from the previous pair's basis when only
+one action changed) and can be sharded across worker processes by a
+pluggable executor — workers return plain picklable verdicts, nothing
+else.  **Reconstruct** re-solves surviving candidates exactly
+(support-restricted, on the fraction-free integer Bareiss kernel —
+bit-identical to Fraction elimination), always in the calling process.  **Certify** passes each wave's reconstructions
 through the exact Lemma-1 gate as one
 :func:`~repro.equilibria.mixed.certify_many` batch — all candidates of
 a wave share the game's cached integer-lattice payoffs — before
 anything is returned; an inconclusive or uncertifiable screen verdict
 falls back to the seed's exact LP for that pair, so no approximate
-profile ever escapes and soundness is unconditional in every mode.  With the default exact backend there is no
-screen at all: everything is Fractions end to end, exactly as the seed
-behaved.
+profile ever escapes and soundness is unconditional in every mode.
+With the default exact backend there is no screen at all: everything is
+Fractions end to end, exactly as the seed behaved.
 
 Determinism: support pairs, chunk boundaries and resolution order are
 all fixed before any executor runs, so the returned equilibrium tuple is
@@ -63,14 +64,21 @@ from repro.linalg.backend import (
 from repro.linalg.int_exact import solve_linear_system
 from repro.linalg.int_lp import find_feasible_point
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    np = None  # only the stacked screen uses it, and only numpy backends reach it
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 #: Support pairs screened per work chunk.  Fixed (policy-overridable but
 #: never worker-count-dependent), so sharding cannot change results.
-#: 1024 amortizes the vectorized screen's per-stack overhead while still
-#: cutting a default-scale enumeration into enough shards to feed a
-#: multi-core pool.
+#: A chunk's y-sides form one stack and its surviving x-sides another,
+#: so 1024 pairs keep each pivot iteration's numpy calls busy (the
+#: backend pivots them in slices of at most ``STACK_LIMIT`` systems)
+#: while still cutting a default-scale enumeration into enough shards
+#: to feed a multi-core pool.
 DEFAULT_CHUNK_SIZE = 1024
 
 
@@ -212,7 +220,6 @@ def solve_one_side(
     other_support: Sequence[int],
     num_other_actions: int,
     backend: NumericBackend | None = None,
-    float_rows: Sequence[Sequence[float]] | None = None,
 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """Find the *other* player's mix that makes ``own_support`` optimal.
 
@@ -221,9 +228,7 @@ def solve_one_side(
     is the other player's distribution (length ``num_other_actions``) and
     ``value`` is our common supported payoff λ — or None if infeasible.
     The returned values are always exact Fractions, whatever ``backend``
-    the search phase ran on; ``float_rows`` optionally carries a
-    pre-converted float copy of ``payoff_rows`` so enumeration loops do
-    not re-convert the payoff matrix per support pair.
+    the search phase ran on.
     """
     own_support = tuple(own_support)
     other_support = tuple(other_support)
@@ -231,10 +236,8 @@ def solve_one_side(
         return None
 
     if backend is not None and not backend.exact:
-        if float_rows is None:
-            float_rows = float_matrix(payoff_rows)
         rows, rhs, __ = _feasibility_rows(
-            float_rows, own_support, other_support, 0.0, 1.0
+            float_matrix(payoff_rows), own_support, other_support, 0.0, 1.0
         )
         try:
             point = backend.find_feasible_point(rows, rhs)
@@ -267,7 +270,6 @@ def equilibrium_for_supports(
     row_support: Sequence[int],
     col_support: Sequence[int],
     backend: NumericBackend | None = None,
-    _float_cache: tuple | None = None,
 ) -> tuple[MixedProfile, Fraction, Fraction] | None:
     """One exact equilibrium with the given supports, or None.
 
@@ -280,19 +282,13 @@ def equilibrium_for_supports(
     a = game.row_matrix
     b_cols = game.column_matrix_transposed
     n, m = game.action_counts
-    a_float, b_cols_float = _float_cache if _float_cache else (None, None)
 
     # The column mix y makes the row support indifferent (uses A).
-    y_solution = solve_one_side(
-        a, row_support, col_support, m, backend=backend, float_rows=a_float
-    )
+    y_solution = solve_one_side(a, row_support, col_support, m, backend=backend)
     if y_solution is None:
         return None
     # The row mix x makes the column support indifferent (uses B columns).
-    x_solution = solve_one_side(
-        b_cols, col_support, row_support, n, backend=backend,
-        float_rows=b_cols_float,
-    )
+    x_solution = solve_one_side(b_cols, col_support, row_support, n, backend=backend)
     if x_solution is None:
         return None
 
@@ -323,17 +319,21 @@ def support_pairs(
             yield rs, cs
 
 
-def _search_setup(game: BimatrixGame, policy):
-    """Resolve the policy to a backend and float payoff caches."""
+def _search_backend(game: BimatrixGame, policy) -> NumericBackend | None:
+    """The policy's screening backend for this game; None means exact."""
     n, m = game.action_counts
     backend = resolve_policy(policy).search_backend(n + m)
-    if backend.exact:
-        return None, None
-    cache = (
-        float_matrix(game.row_matrix),
-        float_matrix(game.column_matrix_transposed),
-    )
-    return backend, cache
+    return None if backend.exact else backend
+
+
+def _float_payoffs(game: BimatrixGame, backend: NumericBackend):
+    """``A`` and ``B^T`` as floats, once per solve: float64 arrays for a
+    stacked screen, plain lists for the scalar one."""
+    a_float = float_matrix(game.row_matrix)
+    b_cols_float = float_matrix(game.column_matrix_transposed)
+    if backend.batched_screen:
+        return np.array(a_float), np.array(b_cols_float)
+    return a_float, b_cols_float
 
 
 def _certified(game: BimatrixGame, profile: MixedProfile) -> bool:
@@ -505,6 +505,56 @@ def _triage(y_point, x_point, rs, cs, support_tol):
     )
 
 
+def _side_stack(payoffs, own_supports, other_supports):
+    """One side's Lemma-1 systems for many support pairs, as one stack.
+
+    System ``s`` is exactly ``_feasibility_rows(payoffs, own_supports[s],
+    other_supports[s], 0.0, 1.0)`` — rows in order own support, its
+    complement, then sum-to-one; columns mix, λ⁺, λ⁻, slacks — built as
+    float64 ndarrays with no per-pair lists, and zero-padded on the right
+    to the widest system.  ``payoffs`` is a float64 array.  Returns
+    ``(a, b, widths)`` for :meth:`NumpyBackend.screen_feasible`.
+    """
+    num_own, num_other = payoffs.shape
+    count = len(own_supports)
+    own_sizes = np.fromiter(map(len, own_supports), np.intp, count)
+    mix_sizes = np.fromiter(map(len, other_supports), np.intp, count)
+    widths = mix_sizes + 2 + num_own - own_sizes
+    max_mix = int(mix_sizes.max())
+
+    # Row order: the own support, then its complement.  Mix columns are
+    # padded with an index into an appended zero column.
+    orders: dict[tuple, tuple] = {}
+    for own in own_supports:
+        if own not in orders:
+            orders[own] = own + tuple(i for i in range(num_own) if i not in own)
+    perm = np.fromiter(
+        itertools.chain.from_iterable(map(orders.__getitem__, own_supports)),
+        np.intp, count * num_own,
+    ).reshape(count, num_own)
+    cols = np.full((count, max_mix), num_other, dtype=np.intp)
+    cols[np.arange(max_mix) < mix_sizes[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(other_supports), np.intp,
+        int(mix_sizes.sum()),
+    )
+    padded = np.zeros((num_own, num_other + 1))
+    padded[:, :num_other] = payoffs
+
+    a = np.zeros((count, num_own + 1, int(widths.max())))
+    a[:, :num_own, :max_mix] = padded[perm[:, :, None], cols[:, None, :]]
+    systems = np.arange(count)[:, None]
+    own_rows = np.arange(num_own)[None, :]
+    a[systems, own_rows, mix_sizes[:, None]] = -1.0      # λ⁺
+    a[systems, own_rows, mix_sizes[:, None] + 1] = 1.0   # λ⁻
+    slack_of, slack_row = np.nonzero(own_rows >= own_sizes[:, None])
+    a[slack_of, slack_row,
+      mix_sizes[slack_of] + 2 + slack_row - own_sizes[slack_of]] = 1.0
+    a[:, num_own, :max_mix] = np.arange(max_mix) < mix_sizes[:, None]
+    b = np.zeros((count, num_own + 1))
+    b[:, num_own] = 1.0
+    return a, b, widths
+
+
 def screen_support_chunk(payload):
     """Screen one chunk of support pairs; plain data in, plain data out.
 
@@ -516,28 +566,32 @@ def screen_support_chunk(payload):
     performs no exact arithmetic at all: certification never leaves the
     parent process.
 
-    Backends with a batched screen decide all y-sides of the chunk in
-    one stack, then all x-sides of the survivors in another; scalar
-    backends screen pair by pair with warm-started bases.
+    Backends with a stacked screen take float64 payoff arrays and decide
+    all y-sides of the chunk as one stack (:func:`_side_stack`), then
+    all x-sides of the survivors as another; scalar backends take float
+    lists and screen pair by pair with warm-started bases.
     """
     backend, a_float, b_cols_float, pairs = payload
     support_tol = backend.support_tol
-    if getattr(backend, "batched_screen", False):
-        y_systems = [
-            _feasibility_rows(a_float, rs, cs, 0.0, 1.0)[:2] for rs, cs in pairs
-        ]
-        y_points = backend.screen_feasible(y_systems)
+    if backend.batched_screen:
+        row_supports = [rs for rs, __ in pairs]
+        col_supports = [cs for __, cs in pairs]
+        y_points = backend.screen_feasible(
+            *_side_stack(a_float, row_supports, col_supports)
+        ) if pairs else []
         survivors = [
             idx for idx, point in enumerate(y_points)
             if point is not None and point is not INCONCLUSIVE
         ]
-        x_systems = [
-            _feasibility_rows(
-                b_cols_float, pairs[idx][1], pairs[idx][0], 0.0, 1.0
-            )[:2]
-            for idx in survivors
-        ]
-        x_points = dict(zip(survivors, backend.screen_feasible(x_systems)))
+        x_points = {}
+        if survivors:
+            x_points = dict(zip(survivors, backend.screen_feasible(
+                *_side_stack(
+                    b_cols_float,
+                    [col_supports[idx] for idx in survivors],
+                    [row_supports[idx] for idx in survivors],
+                )
+            )))
         return [
             _triage(
                 y_points[idx],
@@ -608,8 +662,7 @@ def _screened_verdict_waves(game, backend, pair_stream, chunk_size, executor):
     (rather than single pairs) lets the enumeration certify each wave's
     surviving candidates as one batch.
     """
-    a_float = float_matrix(game.row_matrix)
-    b_cols_float = float_matrix(game.column_matrix_transposed)
+    a_float, b_cols_float = _float_payoffs(game, backend)
     wave_width = max(1, getattr(executor, "workers", 1)) if executor else 1
     while True:
         wave = [
@@ -716,7 +769,7 @@ def support_enumeration(
     every worker count.
     """
     resolved = resolve_policy(policy)
-    backend, __ = _search_setup(game, resolved)
+    backend = _search_backend(game, resolved)
     n, m = game.action_counts
     seen: set[tuple] = set()
     out: list[MixedProfile] = []
@@ -770,7 +823,7 @@ def find_one_equilibrium(
     changes how much screening beyond the answer is wasted.
     """
     resolved = resolve_policy(policy)
-    backend, __ = _search_setup(game, resolved)
+    backend = _search_backend(game, resolved)
     n, m = game.action_counts
     if backend is None:
         for rs, cs in support_pairs(n, m):

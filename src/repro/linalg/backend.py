@@ -80,12 +80,12 @@ class NumericBackend:
     backends answer quickly and may raise :class:`BackendError` when the
     numerics are inconclusive.
 
-    Two batched/warm-start hooks complete the seam for the staged
-    candidate engine: :meth:`screen_feasible` decides many feasibility
-    systems at once (vectorized backends override it; the default is a
-    sequential loop), and :meth:`try_basis` attempts a crash solve from
-    a known-good basis so enumeration loops can warm-start neighbouring
-    support pairs.
+    :meth:`try_basis` completes the seam for the staged candidate
+    engine: it attempts a crash solve from a known-good basis so
+    enumeration loops can warm-start neighbouring support pairs.
+    Vectorized backends (``batched_screen``) add ``screen_feasible``,
+    which decides a whole ndarray stack of feasibility systems at once;
+    the candidate engine uses it instead of warm-started scalar solves.
     """
 
     #: Human-readable backend name, recorded in audit logs and benches.
@@ -97,9 +97,9 @@ class NumericBackend:
     exact: bool = True
     #: Off-support threshold shared by every search/reconstruction phase.
     support_tol: float = DEFAULT_SUPPORT_TOL
-    #: True iff :meth:`screen_feasible` genuinely batches (vectorized
-    #: stacks); screening loops prefer warm-started scalar solves when
-    #: it does not.
+    #: True iff the backend has a stacked ``screen_feasible`` (see
+    #: :class:`~repro.linalg.numpy_backend.NumpyBackend`); screening
+    #: loops use warm-started scalar solves when it does not.
     batched_screen: bool = False
 
     def solve_square(self, matrix: Sequence[Sequence], rhs: Sequence):
@@ -110,24 +110,6 @@ class NumericBackend:
         upper_bounds: Sequence | None = None,
     ):
         raise NotImplementedError
-
-    def screen_feasible(self, systems: Sequence[tuple]) -> list:
-        """Decide a batch of ``Ax = b, x >= 0`` feasibility systems.
-
-        ``systems`` is a sequence of ``(rows, rhs)`` pairs.  Returns one
-        entry per system: a feasible point (sequence), ``None`` for
-        confidently infeasible, or :data:`INCONCLUSIVE` where the
-        numerics cannot decide (callers re-solve those exactly).  The
-        base implementation screens sequentially; vectorized backends
-        stack same-shaped systems and decide them in bulk.
-        """
-        results = []
-        for rows, rhs in systems:
-            try:
-                results.append(self.find_feasible_point(rows, rhs))
-            except BackendError:
-                results.append(INCONCLUSIVE)
-        return results
 
     def try_basis(self, a_eq: Sequence[Sequence], b_eq: Sequence,
                   basis_columns: Sequence[int]):

@@ -1,4 +1,4 @@
-"""The numpy-vectorized search backend: dense tableaus, batched screens.
+"""The numpy-vectorized search backend: dense tableaus, stacked screens.
 
 This module is the vectorized float arm of the two-phase pipeline.  It
 implements the same numeric contract as the stdlib
@@ -12,16 +12,19 @@ always exact — but stages the work for hardware:
   answers);
 * :meth:`NumpyBackend.find_feasible_point` runs a dense-tableau phase-1
   simplex whose pivots are rank-1 ndarray updates;
-* :meth:`NumpyBackend.screen_feasible` is the batched screening entry
-  point the support-enumeration engine drives: it stacks many small
-  Lemma-1 feasibility systems by shape and pivots *all systems of a
-  shape group simultaneously* — one entering/leaving/ratio computation
+* :meth:`NumpyBackend.screen_feasible` is the screening entry point the
+  support-enumeration engine drives: it takes one side's Lemma-1
+  systems for a whole chunk of support pairs as *one* ndarray stack and
+  pivots them simultaneously — one entering/leaving/ratio computation
   per iteration for the whole stack, which is where the bulk-rejection
-  speedup over one-at-a-time screening comes from.
+  speedup over one-at-a-time screening comes from.  Systems narrower
+  than the stack are padded with zero columns after their own; a zero
+  column never enters the basis, so padding changes no verdict, and
+  each system keeps the iteration cap of its own shape.
 
 Tolerance discipline mirrors the stdlib backend exactly: a phase-1
 optimum above ``feastol`` is confidently infeasible; one inside
-``(pivot_tol, feastol]`` is inconclusive (:data:`INCONCLUSIVE` in batch
+``(pivot_tol, feastol]`` is inconclusive (:data:`INCONCLUSIVE` in stack
 answers, :class:`BackendError` in scalar ones); hitting the iteration
 cap is likewise inconclusive.  No result of this module is ever returned
 to a caller of the solver layer without exact reconstruction and the
@@ -34,8 +37,6 @@ stdlib float path keeps screening) when numpy is absent.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import BackendError, LinearAlgebraError
@@ -46,10 +47,10 @@ from repro.linalg.backend import (
     FloatBackend,
 )
 
-# Status codes for systems moving through the batched phase-1 loop.
-_ACTIVE = 0
-_OPTIMAL = 1
-_UNDECIDED = 2  # unbounded ray / iteration cap: inconclusive
+#: Most systems one pivot stack holds; :meth:`NumpyBackend.screen_feasible`
+#: pivots a larger stack in slices of this many.  Bounds the working set
+#: (tableau, ratio and update temporaries) whatever the chunk size.
+STACK_LIMIT = 256
 
 
 class NumpyBackend(FloatBackend):
@@ -57,8 +58,9 @@ class NumpyBackend(FloatBackend):
 
     Subclasses :class:`FloatBackend` so the tolerance semantics (and the
     basis-returning scalar simplex used for warm starts) are shared; the
-    square solver and the screening paths are overridden with ndarray
-    implementations.  ``max_condition`` bounds the condition number a
+    square solver and the feasibility path are overridden with ndarray
+    implementations, and :meth:`screen_feasible` adds the stacked
+    screen.  ``max_condition`` bounds the condition number a
     square solve will vouch for — anything worse is inconclusive.
     """
 
@@ -111,7 +113,7 @@ class NumpyBackend(FloatBackend):
         return x.tolist()
 
     # ------------------------------------------------------------------
-    # Scalar feasibility (a batch of one through the dense tableau)
+    # Scalar feasibility (a stack of one through the dense tableau)
     # ------------------------------------------------------------------
 
     def find_feasible_point(self, a_eq, b_eq, upper_bounds=None):
@@ -135,9 +137,11 @@ class NumpyBackend(FloatBackend):
                 bound_row[ncols + j] = 1.0
                 a.append(bound_row)
                 b.append(u)
-        outcome = self._phase1_batch(
-            np.asarray([a], dtype=np.float64) if a else np.zeros((1, 0, ncols)),
+        stack = np.asarray([a], dtype=np.float64) if a else np.zeros((1, 0, ncols))
+        outcome = self._phase1_stack(
+            stack,
             np.asarray([b], dtype=np.float64).reshape(1, -1),
+            np.asarray([self._iteration_cap(stack.shape[1], stack.shape[2])]),
         )[0]
         if outcome is INCONCLUSIVE:
             raise BackendError("numpy phase-1 inconclusive")
@@ -146,53 +150,80 @@ class NumpyBackend(FloatBackend):
         return list(outcome[:ncols])
 
     # ------------------------------------------------------------------
-    # Batched screening
+    # Stacked screening
     # ------------------------------------------------------------------
 
-    def screen_feasible(self, systems: Sequence[tuple]) -> list:
-        """Decide many ``Ax = b, x >= 0`` systems, stacked by shape.
+    def _iteration_cap(self, nrows, widths):
+        """Pivot budget per system: ``max_iterations``, else one scaled
+        to the system's *own* size (``widths`` may be an int array)."""
+        if self.max_iterations:
+            return np.zeros_like(widths) + self.max_iterations
+        return 64 + 16 * (nrows + widths)
 
-        Same-shaped systems (the common case: Lemma-1 sides of support
-        pairs with equal cardinalities) are screened as one ndarray
-        stack; distinct shapes form separate stacks.  Output order
-        matches input order regardless of grouping, so callers can rely
-        on positional correspondence.
+    def screen_feasible(self, a, b, widths=None) -> list:
+        """Decide a stack of ``Ax = b, x >= 0`` systems, pivoted together.
+
+        ``a`` is a ``(systems, rows, cols)`` float64 stack and ``b`` its
+        ``(systems, rows)`` right-hand sides.  ``widths`` gives each
+        system's own column count (default: all ``cols``); the columns
+        past it must be zero.  That padding cannot change a verdict: a
+        zero column's reduced cost stays exactly 0, so it never enters;
+        row equilibration takes a max, which zeros do not move; and the
+        artificials keep labels above every structural column, so the
+        smallest-label ratio tie-break picks the same row.  Each system
+        keeps the iteration cap its unpadded shape would get.
+
+        Returns one entry per system, in order: the feasible point's
+        first ``width`` coordinates, ``None`` (confidently infeasible)
+        or :data:`INCONCLUSIVE`.  Stacks larger than :data:`STACK_LIMIT`
+        pivot in slices of that many systems, which bounds the working
+        set; a slice cannot change an answer, since systems never
+        interact.
         """
-        results: list = [None] * len(systems)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for idx, (rows, rhs) in enumerate(systems):
-            nrows = len(rows)
-            ncols = len(rows[0]) if rows else 0
-            if any(len(row) != ncols for row in rows) or len(rhs) != nrows:
-                raise LinearAlgebraError("screen_feasible: malformed system")
-            groups.setdefault((nrows, ncols), []).append(idx)
-        for (nrows, ncols), indices in groups.items():
-            a = np.empty((len(indices), nrows, ncols), dtype=np.float64)
-            b = np.empty((len(indices), nrows), dtype=np.float64)
-            for pos, idx in enumerate(indices):
-                rows, rhs = systems[idx]
-                a[pos] = rows
-                b[pos] = rhs
-            outcomes = self._phase1_batch(a, b)
-            for pos, idx in enumerate(indices):
-                outcome = outcomes[pos]
-                if outcome is None or outcome is INCONCLUSIVE:
-                    results[idx] = outcome
-                else:
-                    results[idx] = tuple(outcome[:ncols])
-        return results
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.ndim != 3 or b.shape != a.shape[:2]:
+            raise LinearAlgebraError(
+                "screen_feasible: stack and rhs shapes disagree"
+            )
+        count, nrows, ncols = a.shape
+        if widths is None:
+            widths = np.full(count, ncols)
+        else:
+            widths = np.asarray(widths, dtype=np.intp)
+            if widths.shape != (count,) or np.any(widths < 0) or \
+                    np.any(widths > ncols):
+                raise LinearAlgebraError("screen_feasible: bad system widths")
+            padding = np.arange(ncols) >= widths[:, None]
+            if np.any((a != 0.0).any(axis=1) & padding):
+                raise LinearAlgebraError(
+                    "screen_feasible: nonzero entry past a system's width"
+                )
+        caps = self._iteration_cap(nrows, widths)
+        outcomes: list = []
+        for start in range(0, count, STACK_LIMIT):
+            stop = start + STACK_LIMIT
+            outcomes.extend(
+                self._phase1_stack(a[start:stop], b[start:stop], caps[start:stop])
+            )
+        return [
+            outcome if outcome is None or outcome is INCONCLUSIVE
+            else outcome[:width]
+            for outcome, width in zip(outcomes, widths.tolist())
+        ]
 
-    def _phase1_batch(self, a: np.ndarray, b: np.ndarray) -> list:
-        """Batched phase-1 simplex over a (batch, rows, cols) stack.
+    def _phase1_stack(self, a: np.ndarray, b: np.ndarray,
+                      caps: np.ndarray) -> list:
+        """Phase-1 simplex over a (systems, rows, cols) stack in lockstep.
 
-        Returns one entry per system: the full variable vector
-        (structural + artificial) on feasibility, ``None`` on confident
-        infeasibility, :data:`INCONCLUSIVE` otherwise.  All systems of
-        the stack pivot in lockstep; finished systems are masked out.
-        The Dantzig entering rule and the smallest-basis-label ratio
-        tie-break make every trajectory deterministic, so the batch
-        decomposition (and hence any sharding of it) cannot change
-        answers.
+        Returns one entry per system: the structural part of the final
+        point on feasibility, ``None`` on confident infeasibility,
+        :data:`INCONCLUSIVE` otherwise.  ``caps`` holds each system's
+        pivot budget; a system still pivoting when its budget runs out
+        is inconclusive.  The Dantzig entering rule and the
+        smallest-basis-label ratio tie-break make every trajectory
+        deterministic, so how systems are stacked (and hence any
+        sharding) cannot change answers.
         """
         batch, nrows, ncols = a.shape
         if batch == 0:
@@ -200,34 +231,32 @@ class NumpyBackend(FloatBackend):
         if nrows == 0:
             return [np.zeros(ncols)] * batch
 
-        a = a.copy()
-        b = b.copy()
+        # The tableau [A | I | b] is allocated once and filled in place.
+        total = ncols + nrows
+        tableau = np.zeros((batch, nrows, total + 1))
+        structural = tableau[:, :, :ncols]
+        rhs = tableau[:, :, total]
+        structural[...] = a
+        rhs[...] = b
         # Row equilibration, exactly as the stdlib backend: relative
         # tolerances via per-row scaling, then flip rows negative on b.
         scale = np.maximum(
             np.abs(a).max(axis=2) if ncols else 0.0, np.abs(b)
         )
         scale[scale == 0.0] = 1.0
-        a /= scale[:, :, None]
-        b /= scale
-        flip = b < 0.0
-        a[flip] = -a[flip]
-        b[flip] = -b[flip]
+        structural /= scale[:, :, None]
+        rhs /= scale
+        flip = rhs < 0.0
+        structural[flip] = -structural[flip]
+        rhs[flip] = -rhs[flip]
+        diagonal = np.arange(nrows)
+        tableau[:, diagonal, ncols + diagonal] = 1.0
 
-        total = ncols + nrows
-        tableau = np.concatenate(
-            [
-                a,
-                np.broadcast_to(np.eye(nrows), (batch, nrows, nrows)).copy(),
-                b[:, :, None],
-            ],
-            axis=2,
-        )
-        basis = np.tile(np.arange(ncols, ncols + nrows), (batch, 1))
+        basis = np.tile(np.arange(ncols, total), (batch, 1))
         # Phase-1 objective: minimize the artificial sum.  Reduced-cost
         # row = artificial costs minus the sum of all constraint rows.
         objective = np.zeros((batch, total + 1))
-        objective[:, ncols:ncols + nrows] = 1.0
+        objective[:, ncols:total] = 1.0
         objective -= tableau.sum(axis=1)
 
         # The stack pivots in lockstep but systems finish at different
@@ -237,39 +266,37 @@ class NumpyBackend(FloatBackend):
         results: list = [INCONCLUSIVE] * batch
         origin = np.arange(batch)
 
+        def keep_only(keep: np.ndarray) -> None:
+            nonlocal tableau, objective, basis, origin, caps
+            tableau = tableau[keep]
+            objective = objective[keep]
+            basis = basis[keep]
+            origin = origin[keep]
+            caps = caps[keep]
+
         def finalize(keep: np.ndarray) -> None:
             """Record answers for optimal systems not in ``keep``."""
-            nonlocal tableau, objective, basis, origin
             done = ~keep
             if done.any():
-                done_obj = objective[done]
-                done_tab = tableau[done]
-                done_basis = basis[done]
-                infeasibility = -done_obj[:, -1]
-                for pos, index in enumerate(origin[done]):
+                infeasibility = -objective[done, -1]
+                points = np.zeros((infeasibility.size, total))
+                points[np.arange(infeasibility.size)[:, None], basis[done]] = (
+                    tableau[done, :, -1]
+                )
+                for pos, index in enumerate(origin[done].tolist()):
                     if infeasibility[pos] > self.feastol:
                         results[index] = None  # confidently infeasible
                     elif infeasibility[pos] > self.pivot_tol:
                         results[index] = INCONCLUSIVE  # too close to call
                     else:
-                        x = np.zeros(total)
-                        x[done_basis[pos]] = done_tab[pos, :, -1]
-                        results[index] = x
-            tableau = tableau[keep]
-            objective = objective[keep]
-            basis = basis[keep]
-            origin = origin[keep]
+                        results[index] = points[pos, :ncols]
+            keep_only(keep)
 
-        def drop(keep: np.ndarray) -> None:
-            """Discard undecidable systems not in ``keep`` (stay INCONCLUSIVE)."""
-            nonlocal tableau, objective, basis, origin
-            tableau = tableau[keep]
-            objective = objective[keep]
-            basis = basis[keep]
-            origin = origin[keep]
-
-        cap = self.max_iterations or (64 + 16 * (nrows + ncols))
-        for _iteration in range(cap):
+        update_buffer = np.empty_like(tableau)  # rank-1 updates, reused
+        for iteration in range(int(caps.max())):
+            within = caps > iteration
+            if not within.all():
+                keep_only(within)  # out of budget: stays INCONCLUSIVE
             if origin.size == 0:
                 break
             reduced = objective[:, :total]
@@ -284,13 +311,11 @@ class NumpyBackend(FloatBackend):
                 entering = entering[still]
                 alive = np.arange(origin.size)
 
-            column = np.take_along_axis(
-                tableau, entering[:, None, None], axis=2
-            )[:, :, 0]
+            column = tableau[alive, :, entering]
             positive = column > self.pivot_tol
             bounded = positive.any(axis=1)
             if not bounded.all():
-                drop(bounded)  # unbounded ray: numerical trouble, no answer
+                keep_only(bounded)  # unbounded ray: numerical trouble
                 if origin.size == 0:
                     continue
                 entering = entering[bounded]
@@ -311,10 +336,12 @@ class NumpyBackend(FloatBackend):
 
             pivot_coef = column[alive, leaving]
             pivot_rows = tableau[alive, leaving] / pivot_coef[:, None]
-            tableau -= column[:, :, None] * pivot_rows[:, None, :]
+            update = update_buffer[:origin.size]
+            np.multiply(column[:, :, None], pivot_rows[:, None, :], out=update)
+            tableau -= update
             tableau[alive, leaving] = pivot_rows
             obj_coef = objective[alive, entering]
             objective -= obj_coef[:, None] * pivot_rows
             basis[alive, leaving] = entering
-        # Whatever is still pivoting at the cap stays INCONCLUSIVE.
+        # Whatever is still pivoting at its cap stays INCONCLUSIVE.
         return results

@@ -82,48 +82,74 @@ class TestSolveSquare:
             NUMPY_BACKEND.solve_square([[1]], [1, 2])
 
 
+def _stack(systems):
+    """Zero-pad equal-row systems into ``(a, b, widths)`` stack form."""
+    width = max(len(rows[0]) for rows, __ in systems)
+    a = np.zeros((len(systems), len(systems[0][0]), width))
+    for pos, (rows, __) in enumerate(systems):
+        a[pos, :, :len(rows[0])] = rows
+    b = np.array([rhs for __, rhs in systems], dtype=np.float64)
+    return a, b, [len(rows[0]) for rows, __ in systems]
+
+
 class TestScreenFeasible:
     def test_agrees_with_exact_across_shapes(self):
-        """The batched verdicts match the exact LP wherever conclusive."""
+        """Stacked verdicts match the exact LP wherever conclusive."""
         rng = make_rng(23, "numpy:screen")
-        systems = []
-        expected = []
-        for __ in range(120):
-            nrows = rng.randint(1, 4)
-            ncols = rng.randint(1, 6)
-            a = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-            b = [rng.randint(-5, 5) for _ in range(nrows)]
-            systems.append((a, b))
-            expected.append(EXACT_BACKEND.find_feasible_point(a, b))
-        verdicts = NUMPY_BACKEND.screen_feasible(systems)
-        assert len(verdicts) == len(systems)
         conclusive = 0
-        for (a, b), exact_point, verdict in zip(systems, expected, verdicts):
-            if verdict is INCONCLUSIVE:
-                continue
-            conclusive += 1
-            assert (exact_point is None) == (verdict is None)
-            if verdict is not None:
-                for row, rhs in zip(a, b):
-                    value = sum(c * x for c, x in zip(row, verdict))
-                    assert abs(value - rhs) < 1e-6
-                assert all(x >= -1e-9 for x in verdict)
+        for nrows in (1, 2, 3):
+            systems = []
+            for __ in range(40):
+                ncols = rng.randint(1, 6)
+                a = [[rng.randint(-5, 5) for _ in range(ncols)]
+                     for _ in range(nrows)]
+                b = [rng.randint(-5, 5) for _ in range(nrows)]
+                systems.append((a, b))
+            verdicts = NUMPY_BACKEND.screen_feasible(*_stack(systems))
+            assert len(verdicts) == len(systems)
+            for (a, b), verdict in zip(systems, verdicts):
+                if verdict is INCONCLUSIVE:
+                    continue
+                conclusive += 1
+                exact_point = EXACT_BACKEND.find_feasible_point(a, b)
+                assert (exact_point is None) == (verdict is None)
+                if verdict is not None:
+                    assert len(verdict) == len(a[0])
+                    for row, rhs in zip(a, b):
+                        value = sum(c * x for c, x in zip(row, verdict))
+                        assert abs(value - rhs) < 1e-6
+                    assert all(x >= -1e-9 for x in verdict)
         assert conclusive >= 100  # the screen is conclusive nearly always
 
-    def test_order_is_positional_despite_shape_grouping(self):
-        # Alternate shapes so grouping reorders internally; outputs must not.
+    def test_order_is_positional_across_widths(self):
+        # Alternate widths so every other system is padded; outputs keep
+        # input order and each point has its system's own width.
         feasible_1x2 = ([[1, 1]], [1])
         infeasible_1x1 = ([[1]], [-1])
         systems = [feasible_1x2, infeasible_1x1] * 3
-        verdicts = NUMPY_BACKEND.screen_feasible(systems)
+        verdicts = NUMPY_BACKEND.screen_feasible(*_stack(systems))
         assert [v is not None for v in verdicts] == [True, False] * 3
+        assert all(len(v) == 2 for v in verdicts[::2])
 
     def test_empty_batch(self):
-        assert NUMPY_BACKEND.screen_feasible([]) == []
+        assert NUMPY_BACKEND.screen_feasible(
+            np.zeros((0, 2, 3)), np.zeros((0, 2))
+        ) == []
 
     def test_malformed_system_rejected(self):
-        with pytest.raises(LinearAlgebraError):
-            NUMPY_BACKEND.screen_feasible([([[1, 2], [1]], [1, 1])])
+        a = np.ones((2, 2, 3))
+        with pytest.raises(LinearAlgebraError):  # rhs rows disagree
+            NUMPY_BACKEND.screen_feasible(a, np.ones((2, 3)))
+        with pytest.raises(LinearAlgebraError):  # system counts disagree
+            NUMPY_BACKEND.screen_feasible(a, np.ones((1, 2)))
+        with pytest.raises(LinearAlgebraError):  # not a stack
+            NUMPY_BACKEND.screen_feasible(a[0], np.ones(2))
+        with pytest.raises(LinearAlgebraError):  # one width per system
+            NUMPY_BACKEND.screen_feasible(a, np.ones((2, 2)), widths=[3])
+        with pytest.raises(LinearAlgebraError):  # width past the stack
+            NUMPY_BACKEND.screen_feasible(a, np.ones((2, 2)), widths=[3, 4])
+        with pytest.raises(LinearAlgebraError):  # padding must be zero
+            NUMPY_BACKEND.screen_feasible(a, np.ones((2, 2)), widths=[3, 2])
 
 
 class TestScalarFeasibility:
